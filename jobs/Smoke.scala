@@ -3,7 +3,7 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 import repro.core._
-import repro.erdata.MultiSourceGen
+import repro.eval.Experiments
 
 /** Development smoke run: generator stats + a tiny MoRER round trip.
   * Not part of the reproduction tables; kept as a quick sanity check
@@ -20,14 +20,9 @@ object Smoke {
     spark.sparkContext.setLogLevel("WARN")
 
     for (name <- Seq("dexter", "wdc", "music")) {
-      val cfg = name match {
-        case "dexter" => MultiSourceGen.dexterConfig(1.0)
-        case "wdc"    => MultiSourceGen.wdcConfig(1.0)
-        case _        => MultiSourceGen.musicConfig(1.0)
-      }
       val t0 = System.nanoTime()
-      val ds = MultiSourceGen.generate(spark, cfg)
-      ds.pairs.cache()
+      val b = Experiments.load(spark, name, 1.0)
+      val ds = b.ds
       val nPairs = ds.pairs.count()
       val nMatch = ds.pairs.filter(col("label") === 1).count()
       val nRec   = ds.records.count()
@@ -35,19 +30,13 @@ object Smoke {
       println(f"$name%-8s records=$nRec%7d problems=$nProb%4d (expected ${ds.problems.size})" +
         f" pairs=$nPairs%9d matches=$nMatch%8d (${100.0 * nMatch / math.max(1, nPairs)}%.1f%%)" +
         f" gen=${(System.nanoTime() - t0) / 1e9}%.1fs")
-      ds.pairs.unpersist()
+      Experiments.unload(b)
     }
 
     // tiny MoRER round trip on a small dexter
-    val cfg = MultiSourceGen.dexterConfig(0.3)
-    val ds = MultiSourceGen.generate(spark, cfg)
-    ds.pairs.cache(); ds.pairs.count()
-    val ids = ds.problemIds
-    val rng = new scala.util.Random(1)
-    val shuffled = rng.shuffle(ids)
-    val (init, unsolved) = shuffled.splitAt(ids.size / 2)
+    val b = Experiments.load(spark, "dexter", 0.3)
     val t0 = System.nanoTime()
-    val res = MoRER.run(spark, ds, init, unsolved,
+    val res = MoRER.run(spark, b.ds, b.initIds, b.unsolvedIds,
       MoRERConfig(bTot = 300, bMin = 5, alBatch = 30, alInit = 20))
     println(f"MoRER smoke: F1=${res.f1}%.3f labels=${res.labelsSpent} " +
       f"clusters=${res.repo.numClusters} time=${(System.nanoTime() - t0) / 1e9}%.1fs")

@@ -5,7 +5,7 @@ import repro.eval.Experiments
 /** Reproduces Table 4 (speedup factors of MoRER vs the baselines) and
   * the Fig. 5 F1 data it is derived from.
   * `spark-submit --class repro.jobs.Table4Speedups` — scale via
-  * REPRO_BENCH_SF (default 0.5).
+  * REPRO_BENCH_SF (default 1.0).
   */
 object Table4Speedups {
   def main(args: Array[String]): Unit = {

@@ -1,5 +1,6 @@
 package repro.al
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.ml.PoolVector
@@ -42,10 +43,6 @@ trait ActiveLearner extends Serializable {
 }
 
 object ActiveLearner {
-  /** Stable per-pair key for "already labeled" bookkeeping. */
-  def pairKey(r: Row): String =
-    s"${r.getAs[String]("problemId")}|${r.getAs[Long]("recA")}|${r.getAs[Long]("recB")}"
-
   def toPoolVector(r: Row): PoolVector = PoolVector(
     r.getAs[String]("problemId"),
     r.getAs[Long]("recA"),
@@ -68,6 +65,45 @@ object ActiveLearner {
     (hi.collect() ++ lo.collect() ++ rnd.collect()).toIndexedSeq
       .map(toPoolVector)
       .distinctBy(v => (v.problemId, v.recA, v.recB))
+  }
+
+  /** One iteration's pool with a `score` column (highest is labeled
+    * first), and the broadcasts to release once the batch is collected.
+    */
+  final case class Scored(pool: DataFrame, broadcasts: Seq[Broadcast[_]])
+
+  /** The selection loop of every learner. A pool that fits the budget is
+    * returned whole. Otherwise, after the warm start, each iteration labels
+    * the `batchSize` highest-scored unlabeled rows, ties broken by
+    * (recA, recB), until the budget is spent or no row is left.
+    *
+    * @param scorer evaluated once, after the warm start; scores the pool
+    *               given the labeled vectors so far and the iteration
+    */
+  def selectLoop(pool: DataFrame, budget: Int, cfg: ALConfig)(
+      scorer: => (IndexedSeq[PoolVector], Int) => Scored): IndexedSeq[PoolVector] = {
+    if (pool.count() <= budget) return pool.collect().toIndexedSeq.map(toPoolVector)
+
+    var selected = warmStart(pool, math.min(cfg.initSize, budget))
+    val score = scorer
+    val key = concat_ws("|", col("problemId"), col("recA"), col("recB"))
+    var iter = 0
+    while (selected.size < budget) {
+      val scored = score(selected, iter)
+      val labeled = selected.map(v => s"${v.problemId}|${v.recA}|${v.recB}")
+      val picked = scored.pool
+        .filter(!key.isin(labeled: _*))
+        .orderBy(desc("score"), col("recA"), col("recB"))
+        .limit(math.min(cfg.batchSize, budget - selected.size))
+        .collect()
+        .toIndexedSeq
+        .map(toPoolVector)
+      scored.broadcasts.foreach(_.destroy())
+      if (picked.isEmpty) return selected
+      selected = selected ++ picked
+      iter += 1
+    }
+    selected
   }
 
   /** Mean IDF-style uniqueness score s(w) of a pair (Eq. 11). */

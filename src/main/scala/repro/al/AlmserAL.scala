@@ -100,19 +100,12 @@ object AlmserAL extends ActiveLearner {
       cfg: ALConfig,
       idf: Map[Long, Double],
       seed: Long,
-  ): IndexedSeq[PoolVector] = {
-    val poolSize = pool.count()
-    if (poolSize <= budget) return pool.collect().toIndexedSeq.map(ActiveLearner.toPoolVector)
-
-    var selected = ActiveLearner.warmStart(pool, math.min(cfg.initSize, budget))
-    var labeledKeys = selected.map(v => s"${v.problemId}|${v.recA}|${v.recB}").toSet
+  ): IndexedSeq[PoolVector] = ActiveLearner.selectLoop(pool, budget, cfg) {
     val sc = spark.sparkContext
     val problemIds = pool.select("problemId").distinct()
       .collect().map(_.getString(0)).sorted.toIndexedSeq
 
-    var iter = 0
-    while (selected.size < budget) {
-      val batch = math.min(cfg.batchSize, budget - selected.size)
+    (selected, iter) => {
       val train  = selected.map(v => LabeledVector(v.features, v.oracleLabel))
       val forest = RandomForest.fit(train, numTrees = math.max(10, cfg.kModels / 2),
         maxDepth = 6, seed = seed * 17 + iter)
@@ -175,21 +168,9 @@ object AlmserAL extends ActiveLearner {
         val s   = ActiveLearner.pairScore(bIdf.value, recA, recB)
         (if (conflict) 1.0 else 0.0) + taskDis + unc * (1.0 + s)
       }
-      val key = concat_ws("|", col("problemId"), col("recA"), col("recB"))
-      val picked = scored
-        .filter(!key.isin(labeledKeys.toSeq: _*))
-        .withColumn("score", scoreUdf(col("vote"), col("taskVote"), col("recA"), col("recB")))
-        .orderBy(desc("score"), col("recA"), col("recB"))
-        .limit(batch)
-        .collect()
-        .toIndexedSeq
-        .map(ActiveLearner.toPoolVector)
-      bForest.destroy(); bTasks.destroy(); bComp.destroy(); bBridges.destroy(); bIdf.destroy()
-      if (picked.isEmpty) return selected
-      selected = selected ++ picked
-      labeledKeys = labeledKeys ++ picked.map(v => s"${v.problemId}|${v.recA}|${v.recB}")
-      iter += 1
+      ActiveLearner.Scored(
+        scored.withColumn("score", scoreUdf(col("vote"), col("taskVote"), col("recA"), col("recB"))),
+        Seq(bForest, bTasks, bComp, bBridges, bIdf))
     }
-    selected
   }
 }

@@ -1,11 +1,9 @@
 package repro.baselines
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import repro.erdata.ERDataset
-import repro.eval.Metrics
 import repro.eval.Metrics.Confusion
-import repro.ml.{MLP, TextFeatures}
+import repro.ml.TextFeatures
 
 /** Simulator for Ditto (Li et al., VLDB 2020) — supervised
   * transformer-based matching. Substitution (DESIGN.md §3): DistilBERT
@@ -22,11 +20,6 @@ object DittoSim {
   val Hidden = 64
   val TrainCap = 120000  // driver-side cap (stand-in for GPU batch limits)
 
-  def pairFeatures(aText: String, bText: String): Array[Double] =
-    TextFeatures.densePair(
-      TextFeatures.denseHashed(TextFeatures.tokens(aText), Dim),
-      TextFeatures.denseHashed(TextFeatures.tokens(bText), Dim))
-
   /** Train on `trainFraction` of the pairs of `trainIds`, evaluate on
     * `testIds`. Returns the pooled confusion on the test pairs.
     */
@@ -39,27 +32,11 @@ object DittoSim {
       epochs: Int = 10,
       seed: Long = 7,
   ): Confusion = {
-    val trainPairs0 = BaselineUtil.textPairs(BaselineUtil.filterProblems(ds.pairs, trainIds))
-    val trainPairs =
-      if (trainFraction >= 1.0) trainPairs0
-      else trainPairs0.sample(withReplacement = false, trainFraction, seed)
-
-    val n = trainPairs.count()
-    val capped =
-      if (n <= TrainCap) trainPairs
-      else trainPairs.sample(withReplacement = false, TrainCap.toDouble / n, seed)
-
-    val rows = capped.collect()
-    val xs = rows.map(r => pairFeatures(r.getAs[String]("aText"), r.getAs[String]("bText"))).toIndexedSeq
-    val ys = rows.map(_.getAs[Int]("label")).toIndexedSeq
-    val model = MLP.fitClassifier(xs, ys, hidden = Hidden, epochs = epochs, lr = 0.1, seed = seed)
-
-    val b = spark.sparkContext.broadcast(model)
-    val predUdf = udf { (aText: String, bText: String) =>
-      b.value.predict(pairFeatures(aText, bText))
-    }
-    val test = BaselineUtil.textPairs(BaselineUtil.filterProblems(ds.pairs, testIds))
-      .withColumn("pred", predUdf(col("aText"), col("bText")))
-    Metrics.confusion(test)
+    val trainPairs = BaselineUtil.textPairs(BaselineUtil.filterProblems(ds.pairs, trainIds))
+    val kept =
+      if (trainFraction >= 1.0) trainPairs
+      else trainPairs.sample(withReplacement = false, trainFraction, seed)
+    BaselineUtil.mlpConfusion(spark, ds, BaselineUtil.sampleAtMost(kept, TrainCap, seed),
+      testIds, TextFeatures.tokens, Dim, Hidden, epochs, seed)
   }
 }

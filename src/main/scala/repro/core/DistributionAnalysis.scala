@@ -113,9 +113,7 @@ object DistributionAnalysis {
           bins(r.getInt(2)) = r.getLong(3)
           n += r.getLong(3); s1 += r.getDouble(4); s2 += r.getDouble(5)
         }
-        val mean = if (n > 0) s1 / n else 0.0
-        val varr = if (n > 0) math.max(0.0, s2 / n - mean * mean) else 0.0
-        FeatureHistogram(pid, f, bins, n, mean, math.sqrt(varr))
+        fromMoments(pid, f, bins, n, s1, s2)
       }
       pid -> hists
     }
@@ -139,11 +137,17 @@ object DistributionAnalysis {
         bins(math.min((x * numBins).toInt, numBins - 1)) += 1
         s1 += x; s2 += x * x
       }
-      val n = vecs.size.toLong
-      val mean = if (n > 0) s1 / n else 0.0
-      val varr = if (n > 0) math.max(0.0, s2 / n - mean * mean) else 0.0
-      FeatureHistogram(id, f, bins, n, mean, math.sqrt(varr))
+      fromMoments(id, f, bins, vecs.size.toLong, s1, s2)
     }
+
+  /** A histogram from its bins, count n, Σx and Σx². */
+  private def fromMoments(
+      id: String, feature: Int, bins: Array[Long], n: Long, s1: Double, s2: Double,
+  ): FeatureHistogram = {
+    val mean = if (n > 0) s1 / n else 0.0
+    val varr = if (n > 0) math.max(0.0, s2 / n - mean * mean) else 0.0
+    FeatureHistogram(id, feature, bins, n, mean, math.sqrt(varr))
+  }
 
   /** Aggregated problem similarity sim_p: the per-feature test
     * similarities averaged with std-dev weights (a feature's standard

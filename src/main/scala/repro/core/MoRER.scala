@@ -286,12 +286,8 @@ object MoRER {
       unsolvedIds: Seq[String],
       test: DistTest,
   ): (Confusion, Map[String, Int]) = {
-    val assignment = unsolvedIds.flatMap { pid =>
-      repo.problemHists.get(pid).map { h =>
-        pid -> repo.clusters.values
-          .maxBy(cm => DistributionAnalysis.problemSimilarity(h, cm.hist, test)).id
-      }
-    }.toMap
+    val assignment = unsolvedIds.filter(repo.problemHists.contains)
+      .map(pid => pid -> selectBase(repo, pid, test)).toMap
     val models = assignment.map { case (pid, cid) => pid -> repo.clusters(cid).model }
     val pairsU = ds.pairs.filter(col("problemId").isin(unsolvedIds: _*))
     val pred   = ModelRepository.classifyWithAssignments(spark, pairsU, models)

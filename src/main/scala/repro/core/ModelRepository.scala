@@ -55,7 +55,8 @@ object ModelRepository {
   /** Classify pairs of many problems in one distributed pass, each
     * problem with its assigned model (problemId → model map broadcast
     * into the UDF) — the "repository applied over partitioned record
-    * pairs" path used by sel_base.
+    * pairs" path used by sel_base. A pair of a problem without a model
+    * fails the job with an error that names the problem.
     */
   def classifyWithAssignments(
       spark: SparkSession,
@@ -64,7 +65,8 @@ object ModelRepository {
   ): DataFrame = {
     val b = spark.sparkContext.broadcast(assignment)
     val predUdf = udf { (pid: String, f: Seq[Double]) =>
-      b.value.get(pid).map(_.predict(f.toArray)).getOrElse(0)
+      b.value.getOrElse(pid, throw new IllegalStateException(s"no model assigned to ER problem $pid"))
+        .predict(f.toArray)
     }
     pairs.withColumn("pred", predUdf(col("problemId"), col("features")))
   }

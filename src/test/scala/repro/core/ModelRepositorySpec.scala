@@ -40,10 +40,14 @@ class ModelRepositorySpec extends SparkSpec {
     assert(per(pids.head) == 1.0 && per(pids(1)) == 0.0)
   }
 
-  test("classifyWithAssignments defaults unassigned problems to non-match") {
+  test("classifyWithAssignments fails on an unassigned problem") {
     val ds = TestData.camera
-    val out = ModelRepository.classifyWithAssignments(spark, ds.pairs, Map.empty)
-    assert(out.filter(col("pred") =!= 0).count() == 0)
+    val pid = ds.problemIds.head
+    val out = ModelRepository.classifyWithAssignments(spark,
+      ds.pairs.filter(col("problemId") === pid), Map.empty)
+    val e = intercept[Exception](out.collect())
+    val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage)
+    assert(messages.exists(m => m != null && m.contains(s"no model assigned to ER problem $pid")))
   }
 
   test("idfScores: a record in fewer clusters scores higher") {

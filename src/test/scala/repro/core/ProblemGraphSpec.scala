@@ -62,13 +62,6 @@ class ProblemGraphSpec extends AnyFunSuite {
     assert(g2.edges.size == g.edges.size)
   }
 
-  test("adjacency lists both directions of an edge") {
-    val g = ProblemGraph.build(hists, Seq("a", "b"), KS, ProblemGraph.Complete)
-    val adj = g.adjacency
-    assert(adj(0).map(_._1) == Seq(1))
-    assert(adj(1).map(_._1) == Seq(0))
-  }
-
   test("clustering the built graph groups identical-distribution problems") {
     val g = ProblemGraph.build(hists, Seq("a", "b", "c", "d"), KS)
     val c = Leiden.cluster(g.nodes.size, g.edges, seed = 1)

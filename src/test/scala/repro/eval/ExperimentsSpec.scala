@@ -1,6 +1,7 @@
 package repro.eval
 
 import repro.SparkSpec
+import repro.al.BootstrapAL
 
 class ExperimentsSpec extends SparkSpec {
 
@@ -65,7 +66,7 @@ class ExperimentsSpec extends SparkSpec {
   test("runMoRER executes on a small bundle and reports time and labels") {
     val b = Experiments.load(spark, "wdc", sf = 0.1)
     try {
-      val r = Experiments.runMoRER(spark, b, "Bootstrap", budget = 120)
+      val r = Experiments.runMoRER(spark, b, BootstrapAL, budget = 120)
       assert(r.method == "MoRER+Bootstrap")
       assert(r.seconds > 0 && r.labels <= 120)
       assert(r.f1 > 0.4, s"F1 ${r.f1}")

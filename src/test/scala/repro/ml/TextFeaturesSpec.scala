@@ -59,29 +59,4 @@ class TextFeaturesSpec extends AnyFunSuite {
     val (ib, vb) = hashed(Array("b", "c"), 1 << 10)
     assert(math.abs(cosine(ia, va, ib, vb) - cosine(ib, vb, ia, va)) < 1e-12)
   }
-
-  test("pairVector of identical inputs has zero difference part") {
-    val (i, v) = hashed(Array("a", "b"), 1 << 8)
-    val (pi, pv) = pairVector(i, v, i, v, 1 << 8)
-    // all indices should be in the min-part (>= dim), none in the |diff| part
-    assert(pi.forall(_ >= (1 << 8)))
-    assert(pv.forall(_ > 0))
-  }
-
-  test("pairVector of disjoint inputs has no min part") {
-    val (ia, va) = hashed(Array("aaa"), 1 << 12)
-    val (ib, vb) = hashed(Array("zzz"), 1 << 12)
-    if (!(ia sameElements ib)) {
-      val (pi, _) = pairVector(ia, va, ib, vb, 1 << 12)
-      assert(pi.forall(_ < (1 << 12)))
-    }
-  }
-
-  test("pairVector indices are sorted and within 2*dim") {
-    val (ia, va) = hashed(Array("a", "b", "c"), 1 << 8)
-    val (ib, vb) = hashed(Array("b", "c", "d"), 1 << 8)
-    val (pi, _) = pairVector(ia, va, ib, vb, 1 << 8)
-    assert(pi.toSeq == pi.sorted.toSeq)
-    assert(pi.forall(i => i >= 0 && i < 2 * (1 << 8)))
-  }
 }
