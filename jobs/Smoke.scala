@@ -2,6 +2,7 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
+import repro.al.ALConfig
 import repro.core._
 import repro.eval.Experiments
 
@@ -37,7 +38,7 @@ object Smoke {
     val b = Experiments.load(spark, "dexter", 0.3)
     val t0 = System.nanoTime()
     val res = MoRER.run(spark, b.ds, b.initIds, b.unsolvedIds,
-      MoRERConfig(bTot = 300, bMin = 5, alBatch = 30, alInit = 20))
+      MoRERConfig(bTot = 300, bMin = 5, alConfig = ALConfig(batchSize = 30, initSize = 20)))
     println(f"MoRER smoke: F1=${res.f1}%.3f labels=${res.labelsSpent} " +
       f"clusters=${res.repo.numClusters} time=${(System.nanoTime() - t0) / 1e9}%.1fs")
     spark.stop()

@@ -20,7 +20,8 @@ object Table2Stats {
     println("== Table 3: MoRER parameter grid (defaults in bold in the paper) ==")
     println("ratio_init        : 50% (default), 30%")
     println("distribution test : KS (default), WD, PSI")
-    println("model generation  : AL (default), supervised")
+    println("clustering        : Leiden (default); label propagation not reproduced")
+    println("model generation  : AL (default); supervised not reproduced")
     println("AL method         : Bootstrap (default), Almser")
     println("selection method  : sel_base (default), sel_cov")
     spark.stop()

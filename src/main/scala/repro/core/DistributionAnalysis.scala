@@ -76,8 +76,6 @@ case object PSI extends DistTest {
 
 object DistTest {
   val all: Seq[DistTest] = Seq(KS, WD, PSI)
-  def byName(n: String): DistTest = all.find(_.name.equalsIgnoreCase(n))
-    .getOrElse(throw new IllegalArgumentException(s"unknown distribution test $n"))
 }
 
 /** Distributed similarity-distribution analysis (paper §4.2).

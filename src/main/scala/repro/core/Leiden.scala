@@ -4,10 +4,9 @@ import scala.collection.mutable
 import scala.util.Random
 
 /** Leiden community detection (Traag, Waltman & van Eck 2019) on small
-  * weighted graphs, plus weighted label propagation as the alternative
-  * the paper mentions. Implements the three Leiden phases — local
-  * moving, refinement within communities, and aggregation — iterated to
-  * a fixed point. Deterministic in the seed.
+  * weighted graphs. Implements the three Leiden phases — local moving,
+  * refinement within communities, and aggregation — iterated to a fixed
+  * point. Deterministic in the seed.
   *
   * Scale note: ER-problem graphs have one node per ER problem (≤ 276 in
   * the paper's largest corpus), so a driver-side implementation is the
@@ -128,37 +127,5 @@ object Leiden {
       } else improved = false
     }
     renumber(nodeComm)._1
-  }
-
-  /** Weighted label propagation — the alternative clustering the paper
-    * tested (similar results). Each node adopts the weighted-majority
-    * label among neighbors until stable.
-    */
-  def labelPropagation(
-      n: Int,
-      edges: Iterable[((Int, Int), Double)],
-      seed: Long = 0L,
-      maxIters: Int = 50,
-  ): Array[Int] = {
-    val g = toG(n, edges)
-    val rng = new Random(seed)
-    val label = Array.tabulate(n)(identity)
-    var changed = true
-    var it = 0
-    while (changed && it < maxIters) {
-      changed = false
-      it += 1
-      for (i <- rng.shuffle((0 until n).toVector)) {
-        if (g.adj(i).nonEmpty) {
-          val votes = mutable.Map.empty[Int, Double].withDefaultValue(0.0)
-          g.adj(i).foreach { case (j, w) => votes(label(j)) += w }
-          val best = votes.maxBy { case (l, w) => (w, -l) }._1
-          if (best != label(i) && votes(best) > votes(label(i))) {
-            label(i) = best; changed = true
-          }
-        }
-      }
-    }
-    renumber(label)._1
   }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.al.{ALConfig, ActiveLearner, AlmserAL, BootstrapAL}
+import repro.al.{ALConfig, ActiveLearner, BootstrapAL}
 import repro.erdata.ERDataset
 import repro.eval.Metrics
 import repro.eval.Metrics.Confusion
@@ -10,30 +10,21 @@ import repro.ml.PoolVector
 
 /** MoRER configuration — the paper's parameter grid (Table 3). Defaults
   * are the paper's bold defaults: ratio_init handled by the caller's
-  * problem split, KS test, AL model generation, sel_base selection.
+  * problem split, KS test, Leiden clustering, AL model generation,
+  * sel_base selection.
   */
 final case class MoRERConfig(
     test: DistTest = KS,
-    clusterAlgo: String = "leiden",      // leiden | labelprop
-    modelGen: String = "al",             // al | supervised
     al: ActiveLearner = BootstrapAL,
+    alConfig: ALConfig = ALConfig(),     // committee size k = 20 (paper: 100)
     bTot: Int = 1000,
     bMin: Int = 20,
-    alK: Int = 20,                       // committee size k (paper: 100)
-    alBatch: Int = 100,
-    alInit: Int = 50,
     numBins: Int = DistributionAnalysis.DefaultBins,
     selection: String = "base",          // base | cov
     tCov: Double = 0.25,
-    rfTrees: Int = 10,
-    rfDepth: Int = 8,
     edgePolicy: ProblemGraph.EdgePolicy = ProblemGraph.AboveMean,
-    /** training cap per cluster for the supervised (no-AL) variant. */
-    supervisedCap: Int = 20000,
     seed: Long = 7,
-) {
-  def alConfig: ALConfig = ALConfig(kModels = alK, batchSize = alBatch, initSize = alInit)
-}
+)
 
 final case class MoRERResult(
     confusion: Confusion,
@@ -53,12 +44,28 @@ object MoRER {
   private def poolColumns(pairs: DataFrame): DataFrame =
     pairs.select("problemId", "recA", "recB", "features", "label")
 
-  private def clusterGraph(g: ProblemGraph, cfg: MoRERConfig): Array[Int] =
-    cfg.clusterAlgo match {
-      case "leiden"    => Leiden.cluster(g.nodes.size, g.edges, seed = cfg.seed)
-      case "labelprop" => Leiden.labelPropagation(g.nodes.size, g.edges, seed = cfg.seed)
-      case other       => throw new IllegalArgumentException(s"unknown cluster algo $other")
-    }
+  /** Train one cluster model: label `budget` more vectors of `pool` with
+    * the configured learner, seeded by the repository's `nextId`, and fit
+    * model `id` on `prev`'s training vectors plus the new ones. Without a
+    * `prev` this builds a fresh model (repository construction, or a new
+    * sel_cov cluster); with one it is the sel_cov retrain of Eq. 14.
+    */
+  private def train(
+      spark: SparkSession,
+      ds: ERDataset,
+      cfg: MoRERConfig,
+      id: Int,
+      nextId: Int,
+      prev: Option[ClusterModel],
+      members: Seq[String],
+      pool: DataFrame,
+      budget: Int,
+      idf: Map[Long, Double],
+  ): ClusterModel = {
+    val fresh = cfg.al.select(spark, pool, budget, cfg.alConfig, idf, cfg.seed + nextId)
+    ModelRepository.fitFromTraining(id, prev.fold(IndexedSeq.empty[PoolVector])(_.training) ++ fresh,
+      prev.fold(Set.empty[String])(_.problemIds) ++ members, ds.numFeatures, cfg.numBins, cfg.seed + id)
+  }
 
   /** Initialize the repository from the solved problems P_I
     * (steps 1–3 of Fig. 3).
@@ -76,7 +83,7 @@ object MoRER {
   ): Repository = {
     val ids = initIds.filter(allHists.contains).sorted
     val graph = ProblemGraph.build(allHists, ids, cfg.test, cfg.edgePolicy)
-    val comm  = clusterGraph(graph, cfg)
+    val comm  = Leiden.cluster(graph.nodes.size, graph.edges, seed = cfg.seed)
 
     var infos: Seq[Budget.ClusterInfo] = comm.zipWithIndex
       .groupBy(_._1)
@@ -106,42 +113,15 @@ object MoRER {
     pairsI.count()
     val idf = ModelRepository.idfScores(spark, pairsI, clusterOfProblem)
 
-    var models = Map.empty[Int, ClusterModel]
-    var modelOf = Map.empty[String, Int]
-    var spent = 0
-    var nextId = 0
-    infos.foreach { info =>
+    val models = infos.zipWithIndex.map { case (info, i) =>
       val pool = pairsI.filter(col("problemId").isin(info.problemIds: _*))
-      val cm = cfg.modelGen match {
-        case "supervised" =>
-          val training = supervisedSample(pool, cfg.supervisedCap, cfg.seed)
-          ModelRepository.fitFromTraining(nextId, training, info.problemIds.toSet,
-            ds.numFeatures, cfg.numBins, cfg.rfTrees, cfg.rfDepth, cfg.seed + nextId)
-        case _ =>
-          val cm0 = ModelRepository.buildClusterModel(spark, nextId, pool,
-            info.problemIds.toSet, budgets(info.id), cfg.al, cfg.alConfig, idf,
-            ds.numFeatures, cfg.numBins, cfg.rfTrees, cfg.rfDepth, cfg.seed + nextId)
-          spent += cm0.training.size
-          cm0
-      }
-      models += nextId -> cm
-      modelOf ++= info.problemIds.map(_ -> nextId)
-      nextId += 1
+      train(spark, ds, cfg, i, i, None, info.problemIds, pool, budgets(info.id), idf)
     }
     pairsI.unpersist()
 
-    Repository(models, graph, modelOf, allHists, vectorCounts, ids.toSet, spent, nextId)
-  }
-
-  /** The supervised (no-AL) model-generation variant: all pool vectors
-    * as training data, capped by sampling for tractability.
-    */
-  private def supervisedSample(pool: DataFrame, cap: Int, seed: Long): IndexedSeq[PoolVector] = {
-    val n = pool.count()
-    val sampled =
-      if (n <= cap) pool
-      else pool.sample(withReplacement = false, cap.toDouble / n, seed)
-    sampled.collect().toIndexedSeq.map(repro.al.ActiveLearner.toPoolVector)
+    Repository(models.map(cm => cm.id -> cm).toMap, graph,
+      models.flatMap(cm => cm.problemIds.map(_ -> cm.id)).toMap, allHists, vectorCounts,
+      ids.toSet, models.map(_.training.size).sum, models.size)
   }
 
   /** sel_base for a single problem with an explicit distribution test. */
@@ -174,73 +154,50 @@ object MoRER {
       else repo.graph.edges.values.sum / repo.graph.edges.size
     val graph2 = repo.graph.addNode(pid, sims.filter(_._2 >= cut))
 
-    val comm = clusterGraph(graph2, cfg)
+    val comm = Leiden.cluster(graph2.nodes.size, graph2.edges, seed = cfg.seed)
     val myComm = comm(graph2.index(pid))
     val members = graph2.nodes.zipWithIndex.collect { case (n, i) if comm(i) == myComm => n }
     val solvedMembers   = members.filter(repo.solvedT.contains)
     val unsolvedMembers = members.filterNot(repo.solvedT.contains) // ⊆ U, includes pid
 
-    def poolOf(pids: Seq[String]): DataFrame =
-      poolColumns(ds.pairs.filter(col("problemId").isin(pids: _*)))
+    // The previous cluster with maximum overlap (majority of the solved
+    // members' current model assignments); none if no member is solved.
+    val prev = if (solvedMembers.isEmpty) None else Some(repo.clusters(
+      solvedMembers.flatMap(repo.modelOf.get).groupBy(identity).maxBy { case (id, xs) => (xs.size, -id) }._1))
 
-    val (modelId, repo2) =
-      if (solvedMembers.isEmpty) {
-        // Entirely-new cluster: train a fresh model. The paper specifies
-        // *that* a new model is trained but not its budget; we grant the
-        // cluster minimum, floored at twice the AL warm-start size so the
-        // fresh model sees both classes.
-        val newBudget = math.max(cfg.bMin, cfg.alConfig.initSize * 2)
-        val cm = ModelRepository.buildClusterModel(spark, repo.nextId,
-          poolOf(unsolvedMembers), unsolvedMembers.toSet, newBudget, cfg.al,
-          cfg.alConfig, Map.empty, ds.numFeatures, cfg.numBins, cfg.rfTrees,
-          cfg.rfDepth, cfg.seed + repo.nextId)
-        val r = repo.copy(
-          clusters = repo.clusters + (repo.nextId -> cm),
-          graph = graph2,
-          modelOf = repo.modelOf ++ unsolvedMembers.map(_ -> repo.nextId),
-          solvedT = repo.solvedT ++ unsolvedMembers,
-          labelsSpent = repo.labelsSpent + cm.training.size,
-          nextId = repo.nextId + 1)
-        (cm.id, r)
-      } else {
-        // Reuse the previous cluster with maximum overlap (majority of the
-        // solved members' current model assignments).
-        val prevId = solvedMembers.flatMap(repo.modelOf.get)
-          .groupBy(identity).maxBy { case (id, xs) => (xs.size, -id) }._1
-        val prev = repo.clusters(prevId)
+    // Coverage ratio (Eq. 13): share of the cluster's vectors coming
+    // from problems not yet used for training.
+    val uVecs = unsolvedMembers.map(p => repo.vectorCounts.getOrElse(p, 0L)).sum.toDouble
+    val aVecs = members.map(p => repo.vectorCounts.getOrElse(p, 0L)).sum.toDouble
+    val cov = if (aVecs > 0) uVecs / aVecs else 0.0
 
-        // Coverage ratio (Eq. 13): share of the cluster's vectors coming
-        // from problems not yet used for training.
-        val uVecs = unsolvedMembers.map(p => repo.vectorCounts.getOrElse(p, 0L)).sum.toDouble
-        val aVecs = members.map(p => repo.vectorCounts.getOrElse(p, 0L)).sum.toDouble
-        val cov = if (aVecs > 0) uVecs / aVecs else 0.0
-
-        if (cov > cfg.tCov) {
-          // Retrain (Eq. 14): b_new = b_tot · cov · |T∩C_prev|/b_tot
-          //                        = cov · (previous training size).
-          val bNew = math.max(1, math.round(cov * prev.training.size).toInt)
-          val fresh = cfg.al.select(spark, poolOf(unsolvedMembers), bNew,
-            cfg.alConfig, Map.empty, cfg.seed + repo.nextId)
-          val cm = ModelRepository.fitFromTraining(prevId,
-            prev.training ++ fresh, prev.problemIds ++ unsolvedMembers,
-            ds.numFeatures, cfg.numBins, cfg.rfTrees, cfg.rfDepth, cfg.seed + prevId)
-          val r = repo.copy(
-            clusters = repo.clusters + (prevId -> cm),
-            graph = graph2,
-            modelOf = repo.modelOf ++ members.map(_ -> prevId),
-            solvedT = repo.solvedT ++ unsolvedMembers,
-            labelsSpent = repo.labelsSpent + fresh.size)
-          (prevId, r)
-        } else {
-          val r = repo.copy(
-            graph = graph2,
-            modelOf = repo.modelOf + (pid -> prevId))
-          (prevId, r)
+    val repo2 = prev match {
+      case Some(p) if cov <= cfg.tCov =>
+        repo.copy(graph = graph2, modelOf = repo.modelOf + (pid -> p.id))
+      case _ =>
+        // Retrain (Eq. 14): b_new = b_tot · cov · |T∩C_prev|/b_tot
+        //                        = cov · (previous training size).
+        // An entirely-new cluster retrains an empty previous model under
+        // a new id. The paper specifies *that* a new model is trained but
+        // not its budget; we grant the cluster minimum, floored at twice
+        // the AL warm-start size so the fresh model sees both classes.
+        val (id, budget) = prev match {
+          case Some(p) => (p.id, math.max(1, math.round(cov * p.training.size).toInt))
+          case None    => (repo.nextId, math.max(cfg.bMin, cfg.alConfig.initSize * 2))
         }
-      }
+        val pool = poolColumns(ds.pairs.filter(col("problemId").isin(unsolvedMembers: _*)))
+        val cm = train(spark, ds, cfg, id, repo.nextId, prev, unsolvedMembers, pool, budget, Map.empty)
+        repo.copy(
+          clusters = repo.clusters + (id -> cm),
+          graph = graph2,
+          modelOf = repo.modelOf ++ members.map(_ -> id),
+          solvedT = repo.solvedT ++ unsolvedMembers,
+          labelsSpent = repo.labelsSpent + cm.training.size - prev.fold(0)(_.training.size),
+          nextId = math.max(repo.nextId, id + 1))
+    }
 
     val pred = ModelRepository.classify(spark, ds.pairs.filter(col("problemId") === pid),
-      repo2.clusters(modelId).model)
+      repo2.clusters(repo2.modelOf(pid)).model)
     (Metrics.confusion(pred), repo2)
   }
 
@@ -266,12 +223,9 @@ object MoRER {
         val (conf, _) = solveBaseAllWithTest(spark, ds, repo, present, cfg.test)
         MoRERResult(conf, repo, repo.labelsSpent)
       case "cov" =>
-        var r = repo
-        var conf = Confusion.empty
-        present.foreach { pid =>
+        val (conf, r) = present.foldLeft((Confusion.empty, repo)) { case ((conf, r), pid) =>
           val (c, r2) = solveCov(spark, ds, r, pid, cfg)
-          conf = conf + c
-          r = r2
+          (conf + c, r2)
         }
         MoRERResult(conf, r, r.labelsSpent)
       case other => throw new IllegalArgumentException(s"unknown selection $other")

@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.al.{ALConfig, ActiveLearner}
 import repro.ml.{LabeledVector, PoolVector, RandomForest}
 
 /** One repository entry: the classifier of a cluster of similar ER
@@ -96,28 +95,6 @@ object ModelRepository {
     counts.map(r => r.getLong(0) -> math.log(numClusters.toDouble / r.getLong(1))).toMap
   }
 
-  /** Train one cluster model: AL-select `budget` vectors from the
-    * cluster's pool, fit the classifier, summarize the training vectors.
-    */
-  def buildClusterModel(
-      spark: SparkSession,
-      id: Int,
-      pool: DataFrame,
-      problemIds: Set[String],
-      budget: Int,
-      al: ActiveLearner,
-      alCfg: ALConfig,
-      idf: Map[Long, Double],
-      numFeatures: Int,
-      numBins: Int,
-      rfTrees: Int,
-      rfDepth: Int,
-      seed: Long,
-  ): ClusterModel = {
-    val selected = al.select(spark, pool, budget, alCfg, idf, seed)
-    fitFromTraining(id, selected, problemIds, numFeatures, numBins, rfTrees, rfDepth, seed)
-  }
-
   /** Fit the cluster classifier from already-selected training vectors. */
   def fitFromTraining(
       id: Int,
@@ -125,14 +102,12 @@ object ModelRepository {
       problemIds: Set[String],
       numFeatures: Int,
       numBins: Int,
-      rfTrees: Int,
-      rfDepth: Int,
       seed: Long,
   ): ClusterModel = {
     val train = training.map(v => LabeledVector(v.features, v.oracleLabel))
     val model =
       if (train.isEmpty) RandomForest(IndexedSeq(repro.ml.Leaf(0.0)))
-      else RandomForest.fit(train, numTrees = rfTrees, maxDepth = rfDepth, seed = seed)
+      else RandomForest.fit(train, seed = seed)
     val hist = DistributionAnalysis.histogramOfVectors(
       s"cluster$id", training.map(_.features), numFeatures, numBins)
     ClusterModel(id, model, training, problemIds, hist)

@@ -77,17 +77,8 @@ object MLP {
       val step = lr / (1.0 + 0.3 * e)
       idx.foreach { k =>
         val x = xs(k); val y = ys(k)
-        // forward
-        val h = new Array[Double](hidden)
-        val pre = new Array[Double](hidden)
-        var j = 0
-        while (j < hidden) {
-          var z = m.b1(j); val row = m.w1(j); var t = 0
-          while (t < x.length) { z += row(t) * x(t); t += 1 }
-          pre(j) = z; h(j) = if (z > 0) z else 0.0
-          j += 1
-        }
-        var z2 = bias; j = 0
+        val h = m.hiddenOf(x)
+        var z2 = bias; var j = 0
         while (j < hidden) { z2 += m.w2(j) * h(j); j += 1 }
         val p = 1.0 / (1.0 + math.exp(-z2))
         val g2 = p - y
@@ -95,7 +86,7 @@ object MLP {
         // bias is carried in the local accumulator and attached at the end)
         j = 0
         while (j < hidden) {
-          val gh = if (pre(j) > 0) m.w2(j) * g2 else 0.0
+          val gh = if (h(j) > 0) m.w2(j) * g2 else 0.0
           m.w2(j) -= step * g2 * h(j)
           if (gh != 0.0) {
             val row = m.w1(j); var t = 0
@@ -126,21 +117,11 @@ object MLP {
   ): MLPModel = {
     val m = init(in, hidden, seed)
 
-    def forward(x: Array[Double]): (Array[Double], Array[Double]) = {
-      val h = new Array[Double](hidden); val pre = new Array[Double](hidden)
+    // ReLU gate: h > 0 exactly where the pre-activation is > 0.
+    def backward(x: Array[Double], h: Array[Double], grad: Array[Double], step: Double): Unit = {
       var j = 0
       while (j < hidden) {
-        var z = m.b1(j); val row = m.w1(j); var t = 0
-        while (t < x.length) { z += row(t) * x(t); t += 1 }
-        pre(j) = z; h(j) = if (z > 0) z else 0.0
-        j += 1
-      }
-      (h, pre)
-    }
-    def backward(x: Array[Double], pre: Array[Double], grad: Array[Double], step: Double): Unit = {
-      var j = 0
-      while (j < hidden) {
-        if (pre(j) > 0 && grad(j) != 0.0) {
+        if (h(j) > 0 && grad(j) != 0.0) {
           val row = m.w1(j); var t = 0
           while (t < x.length) { row(t) -= step * grad(j) * x(t); t += 1 }
           m.b1(j) -= step * grad(j)
@@ -150,9 +131,9 @@ object MLP {
     }
 
     triplets.foreach { case (a, p, n) =>
-      val (ha, preA) = forward(a)
-      val (hp, preP) = forward(p)
-      val (hn, preN) = forward(n)
+      val ha = m.hiddenOf(a)
+      val hp = m.hiddenOf(p)
+      val hn = m.hiddenOf(n)
       var dPos = 0.0; var dNeg = 0.0
       var j = 0
       while (j < hidden) {
@@ -171,9 +152,9 @@ object MLP {
           gn(j) = 2 * (ha(j) - hn(j))
           j += 1
         }
-        backward(a, preA, ga, lr)
-        backward(p, preP, gp, lr)
-        backward(n, preN, gn, lr)
+        backward(a, ha, ga, lr)
+        backward(p, hp, gp, lr)
+        backward(n, hn, gn, lr)
       }
     }
     m

@@ -82,13 +82,6 @@ class DistributionAnalysisSpec extends SparkSpec {
     }
   }
 
-  test("DistTest.byName resolves all tests, case-insensitively") {
-    assert(DistTest.byName("ks") == KS)
-    assert(DistTest.byName("WD") == WD)
-    assert(DistTest.byName("psi") == PSI)
-    assertThrows[IllegalArgumentException](DistTest.byName("nope"))
-  }
-
   // -------------------------------------------------- problem similarity
 
   test("problemSimilarity of a problem with itself is 1") {

@@ -66,18 +66,6 @@ class LeidenSpec extends AnyFunSuite {
     assert(c.distinct.length == 1) // complete graph = one community
   }
 
-  test("weighted label propagation separates two cliques") {
-    val (n, e) = twoCliques()
-    val c = Leiden.labelPropagation(n, e, seed = 1)
-    assert(c(0) == c(4) && c(5) == c(9) && c(0) != c(5))
-  }
-
-  test("label propagation is deterministic in the seed") {
-    val (n, e) = twoCliques(k = 6)
-    assert(Leiden.labelPropagation(n, e, seed = 9).toSeq ==
-           Leiden.labelPropagation(n, e, seed = 9).toSeq)
-  }
-
   test("weights matter: a node attaches to its heavier neighbor clique") {
     // node 4 linked weakly to clique {0,1}, strongly to clique {2,3}
     val edges = Seq(((0, 1), 1.0), ((2, 3), 1.0), ((4, 0), 0.1), ((4, 2), 1.0))

@@ -2,7 +2,7 @@ package repro.core
 
 import scala.util.Random
 import repro.{SparkSpec, TestData}
-import repro.al.{AlmserAL, BootstrapAL}
+import repro.al.{ALConfig, AlmserAL}
 
 /** End-to-end integration of the MoRER pipeline on the tiny corpora. */
 class MoRERPipelineSpec extends SparkSpec {
@@ -13,7 +13,7 @@ class MoRERPipelineSpec extends SparkSpec {
     ids.splitAt(ids.size / 2)
   }
   private def cfg(base: MoRERConfig = MoRERConfig()) = base.copy(
-    bTot = 200, bMin = 5, alK = 5, alBatch = 50, alInit = 20, rfTrees = 5)
+    bTot = 200, bMin = 5, alConfig = ALConfig(kModels = 5, batchSize = 50, initSize = 20))
 
   private lazy val baseResult =
     MoRER.run(spark, ds, split._1, split._2, cfg())
@@ -68,7 +68,7 @@ class MoRERPipelineSpec extends SparkSpec {
     val none = MoRER.run(spark, ds, split._1, split._2,
       cfg(MoRERConfig(selection = "cov", tCov = 1.1)))
     assert(none.labelsSpent >= baseResult.labelsSpent)
-    // per brand-new cluster the budget is max(bMin, 2·alInit) = 40 here
+    // per brand-new cluster the budget is max(bMin, 2·initSize) = 40 here
     assert(none.labelsSpent <= baseResult.labelsSpent + 40 * split._2.size)
   }
 
@@ -88,19 +88,6 @@ class MoRERPipelineSpec extends SparkSpec {
       val res = MoRER.run(spark, ds, split._1, split._2, cfg(MoRERConfig(test = t)))
       assert(res.f1 > 0.7, s"${t.name}: F1 ${res.f1}")
     }
-  }
-
-  test("pipeline works with label propagation clustering") {
-    val res = MoRER.run(spark, ds, split._1, split._2,
-      cfg(MoRERConfig(clusterAlgo = "labelprop")))
-    assert(res.f1 > 0.7, s"F1 ${res.f1}")
-  }
-
-  test("supervised model generation spends no labels and scores at least as well") {
-    val sup = MoRER.run(spark, ds, split._1, split._2,
-      cfg(MoRERConfig(modelGen = "supervised", supervisedCap = 2000)))
-    assert(sup.labelsSpent == 0)
-    assert(sup.f1 >= baseResult.f1 - 0.05, s"supervised ${sup.f1} vs AL ${baseResult.f1}")
   }
 
   test("budget too small for the cluster count fails loudly") {

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestData}
-import repro.al.BootstrapAL
+import repro.al.ALConfig
 import repro.ml.{LabeledVector, PoolVector, RandomForest}
 
 class ModelRepositorySpec extends SparkSpec {
@@ -67,18 +67,27 @@ class ModelRepositorySpec extends SparkSpec {
     assert(ModelRepository.idfScores(spark, TestData.camera.pairs, Map.empty).isEmpty)
   }
 
-  test("buildClusterModel consumes at most the given budget and stores training vectors") {
+  test("initRepository clusters stay within budget and summarize training") {
     val ds = TestData.camera
-    val cm = ModelRepository.buildClusterModel(spark, 0, pool(), ds.problemIds.toSet,
-      budget = 80, BootstrapAL, repro.al.ALConfig(kModels = 5, batchSize = 40, initSize = 20),
-      Map.empty, ds.numFeatures, 20, rfTrees = 5, rfDepth = 6, seed = 3)
-    assert(cm.training.size <= 80)
-    assert(cm.hist.size == ds.numFeatures)
-    assert(cm.hist(0).total == cm.training.size)
+    val cfg = MoRERConfig(bTot = 200, bMin = 5, numBins = 20, seed = 3,
+      alConfig = ALConfig(kModels = 5, batchSize = 40, initSize = 20))
+    val hists = DistributionAnalysis.histograms(ds.pairs, ds.numFeatures, cfg.numBins)
+    val counts = ds.pairs.groupBy("problemId").count().collect()
+      .map(r => r.getString(0) -> r.getLong(1)).toMap
+    val repo = MoRER.initRepository(spark, ds, ds.problemIds, hists, counts, cfg)
+    val infos = repo.clusters.values.toSeq.map(cm =>
+      Budget.ClusterInfo(cm.id, cm.problemIds.toSeq.sorted, cm.problemIds.toSeq.map(counts).sum))
+    val budgets = Budget.distribute(infos, cfg.bTot, cfg.bMin)
+    repo.clusters.values.foreach { cm =>
+      assert(cm.training.nonEmpty && cm.training.size <= budgets(cm.id), s"cluster ${cm.id}")
+      assert(cm.hist.size == ds.numFeatures)
+      assert(cm.hist(0).total == cm.training.size)
+    }
+    assert(repo.labelsSpent == repo.clusters.values.map(_.training.size).sum)
   }
 
   test("fitFromTraining with empty training yields an always-nonmatch model") {
-    val cm = ModelRepository.fitFromTraining(0, IndexedSeq.empty, Set("p"), 4, 10, 5, 6, 1)
+    val cm = ModelRepository.fitFromTraining(0, IndexedSeq.empty, Set("p"), 4, 10, 1)
     assert(cm.model.predict(Array(1.0, 1.0, 1.0, 1.0)) == 0)
   }
 
@@ -86,7 +95,7 @@ class ModelRepositorySpec extends SparkSpec {
     val vecs = IndexedSeq(
       PoolVector("p", 1, 2, Array(0.95, 0.04), 1),
       PoolVector("p", 3, 4, Array(0.05, 0.96), 0))
-    val cm = ModelRepository.fitFromTraining(1, vecs, Set("p"), 2, 10, 3, 4, 2)
+    val cm = ModelRepository.fitFromTraining(1, vecs, Set("p"), 2, 10, 2)
     assert(cm.hist(0).bins(9) == 1 && cm.hist(0).bins(0) == 1)
     assert(cm.hist(1).bins(0) == 1 && cm.hist(1).bins(9) == 1)
   }

@@ -1,5 +1,7 @@
 package repro.ml
 
+import java.nio.ByteBuffer
+import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -98,5 +100,23 @@ class MLPSpec extends AnyFunSuite {
     val e1 = MLP.fitEncoder(Iterator.empty, in = 8, hidden = 4, seed = 7)
     val e2 = MLP.init(8, 4, 7)
     assert(e1.w1.map(_.toSeq).toSeq == e2.w1.map(_.toSeq).toSeq)
+  }
+
+  /** SHA-256 prefix of every weight's bit pattern. */
+  private def weightDigest(m: MLPModel): String = {
+    val ws = m.w1.flatten ++ m.b1 ++ m.w2 :+ m.b2
+    val buf = ByteBuffer.allocate(8 * ws.length)
+    ws.foreach(w => buf.putLong(java.lang.Double.doubleToLongBits(w)))
+    MessageDigest.getInstance("SHA-256").digest(buf.array()).take(8).map(b => f"$b%02x").mkString
+  }
+
+  test("fitted weights of both trainers at a fixed seed are pinned") {
+    val (xs, ys) = xor(300)
+    val cls = MLP.fitClassifier(xs, ys, hidden = 8, epochs = 10, lr = 0.3, seed = 3)
+    val rng = new Random(11)
+    val vs = IndexedSeq.fill(40)(Array.fill(6)(rng.nextDouble()))
+    val triplets = Iterator.range(0, 200).map(i => (vs(i % 40), vs((i + 1) % 40), vs((i * 7 + 3) % 40)))
+    val enc = MLP.fitEncoder(triplets, in = 6, hidden = 8, lr = 0.05, seed = 5)
+    assert((weightDigest(cls), weightDigest(enc)) == (("988a104422cc106c", "a5e4b5e367ef2c77")))
   }
 }
